@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/obs/tracestore"
 	"repro/pkg/api"
@@ -259,20 +259,13 @@ func (g *Gateway) relay(w http.ResponseWriter, nr *nodeResponse) {
 	_, _ = w.Write(nr.body)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
-	if rec, ok := w.(interface{ setErrorCode(string) }); ok {
-		rec.setErrorCode(code)
-	}
-	writeJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
-}
+// The HTTP edge helpers every route shares with the nodes.
+var (
+	writeErr     = edge.WriteErr
+	writeJSON    = edge.WriteJSON
+	decodeStatus = edge.DecodeStatus
+	decodeCode   = edge.DecodeCode
+)
 
 // noLiveReplica emits the 503 a request gets when every candidate node is
 // down or failed mid-flight; Retry-After invites the client SDK's bounded
@@ -634,8 +627,7 @@ type subBatch struct {
 // candidate is gone does the batch fail.
 func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBatchBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+	if !edge.DecodeBody(w, r, g.maxBatchBody, &req, api.ParseBatchQueryRequest) {
 		return
 	}
 	if req.ReleaseID == "" {
@@ -711,7 +703,7 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		copy(out.Results[chunks[ci].start:], oc.resp.Results)
 		out.CacheHits += oc.resp.CacheHits
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteEncoded(w, &out, api.AppendBatchQueryResponse)
 }
 
 // chunkOutcome is one sub-batch's result: exactly one field is set — the
@@ -728,7 +720,9 @@ type chunkOutcome struct {
 // list. Candidates are tried starting at a per-chunk offset so
 // concurrent chunks spread over distinct replicas.
 func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, candidates []*nodeState, offset int) (oc chunkOutcome) {
-	body, err := json.Marshal(api.BatchQueryRequest{ReleaseID: releaseID, Queries: ch.queries})
+	// Not pooled: the transport may still read a request body after the
+	// round trip returns. Most queries encode in under 128 bytes.
+	body, err := api.AppendBatchQueryRequest(make([]byte, 0, 64+128*len(ch.queries)), &api.BatchQueryRequest{ReleaseID: releaseID, Queries: ch.queries})
 	if err != nil {
 		oc.err = err
 		return oc
@@ -764,7 +758,10 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 			return oc
 		}
 		var resp api.BatchQueryResponse
-		if err := json.Unmarshal(nr.body, &resp); err != nil || len(resp.Results) != len(ch.queries) {
+		if !api.ParseBatchQueryResponse(nr.body, &resp) {
+			err = json.Unmarshal(nr.body, &resp)
+		}
+		if err != nil || len(resp.Results) != len(ch.queries) {
 			g.metrics.addFailover()
 			continue // malformed answer; treat like a dead node
 		}
@@ -777,22 +774,4 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 	}
 	oc.err = fmt.Errorf("cluster: no live replica for sub-batch")
 	return oc
-}
-
-// decodeStatus / decodeCode mirror the node server's body-failure
-// mapping: 413 for MaxBytesReader trips, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func decodeCode(err error) string {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return api.CodeTooLarge
-	}
-	return api.CodeInvalidRequest
 }

@@ -69,6 +69,10 @@ type testNode struct {
 	// retention or load-sampling cadences a test needs pinned.
 	srvOpts func(*server.Options)
 
+	// wrap, when set, wraps the node's handler — e.g. to record its
+	// traffic.
+	wrap func(http.Handler) http.Handler
+
 	store *release.Store
 	srv   *server.Server
 	hs    *http.Server
@@ -108,7 +112,11 @@ func (n *testNode) start(t *testing.T) {
 		t.Fatalf("node %s: %v", n.id, err)
 	}
 	n.srv = srv
-	n.hs = &http.Server{Handler: n.srv}
+	var h http.Handler = n.srv
+	if n.wrap != nil {
+		h = n.wrap(h)
+	}
+	n.hs = &http.Server{Handler: h}
 	n.ln = ln
 	n.addr = ln.Addr().String()
 	go n.hs.Serve(ln) //nolint:errcheck // Serve returns on Close

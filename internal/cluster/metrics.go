@@ -186,6 +186,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// setErrorCode is the writeErr hook: the api error code of the response,
+// SetErrorCode is the edge.WriteErr hook: the api error code of the response,
 // recorded onto the retained trace.
-func (r *statusRecorder) setErrorCode(code string) { r.errCode = code }
+func (r *statusRecorder) SetErrorCode(code string) { r.errCode = code }

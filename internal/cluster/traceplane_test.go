@@ -373,9 +373,21 @@ func TestTracePlaneFailoverAssembly(t *testing.T) {
 // memory bound under a burst: the ring never exceeds capacity,
 // sampled-out requests answer 404, and error traces stay retrievable.
 func TestTraceStoreBoundedUnderBurst(t *testing.T) {
-	node := &testNode{id: "n1", dir: t.TempDir()}
+	// The node keeps no part of the burst: an assembled trace would
+	// otherwise surface the node's half of a request the gateway's ring
+	// evicted. A node store keeps its first normal trace, so one direct
+	// request spends that slot before the burst.
+	node := &testNode{id: "n1", dir: t.TempDir(), srvOpts: func(o *server.Options) {
+		o.Trace = tracestore.Options{SampleEvery: 1 << 30}
+	}}
 	node.start(t)
 	t.Cleanup(node.kill)
+	if resp, err := httpGet(node.url() + "/v1/releases"); err != nil {
+		t.Fatal(err)
+	} else {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 	gw, err := cluster.New(cluster.Options{
 		Nodes:             []cluster.Node{{ID: node.id, URL: node.url()}},
 		Replication:       1,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,6 +155,16 @@ func TestErrorMatrix(t *testing.T) {
 		return api.BatchQueryRequest{ReleaseID: id, Queries: qs}
 	}
 
+	// Raw bodies for the request-body contract: what the decoder accepts
+	// beyond the canonical encoding (bytes after the first JSON value,
+	// unknown fields, keys in any letter case) and the 1 MiB cap, which
+	// applies to the whole body — also when its first JSON value ends
+	// well inside the limit.
+	one := `{"sa_lo":0,"sa_hi":3}`
+	batch := `{"release_id":"` + ready.ID + `","queries":[` + one + `]}`
+	single := "/v1/releases/" + ready.ID + "/query"
+	pad := strings.Repeat(" ", 1<<20+1)
+
 	cases := []struct {
 		name string
 		path string
@@ -181,6 +192,26 @@ func TestErrorMatrix(t *testing.T) {
 		{"single failed release", "/v1/releases/" + failed.ID + "/query", okQuery, http.StatusConflict},
 		// 413: oversized batch.
 		{"batch too large", "/v1/query:batch", batchOf(ready.ID, 9, okQuery), http.StatusRequestEntityTooLarge},
+		// The body contract.
+		{"batch trailing bytes", "/v1/query:batch", batch + ` {"x":1} garbage`, http.StatusOK},
+		{"batch unknown fields", "/v1/query:batch", `{"release_id":"` + ready.ID + `","extra":[1,{"a":null}],"queries":[{"sa_lo":0,"sa_hi":3,"bogus":"x"}]}`, http.StatusOK},
+		{"batch case-variant keys", "/v1/query:batch", `{"Release_ID":"` + ready.ID + `","QUERIES":[{"SA_LO":0,"Sa_Hi":3,"Agg":"sum"}]}`, http.StatusOK},
+		{"batch null queries", "/v1/query:batch", `{"release_id":"` + ready.ID + `","queries":null}`, http.StatusBadRequest},
+		{"batch body over limit", "/v1/query:batch", `{"release_id":"` + ready.ID + `","queries":[` + strings.Repeat(one+",", 1<<20/len(one)) + one + `]}`, http.StatusRequestEntityTooLarge},
+		{"batch over-limit body, first value ends early", "/v1/query:batch", batch + pad, http.StatusRequestEntityTooLarge},
+		{"single trailing bytes", single, one + `]`, http.StatusOK},
+		{"single unknown fields", single, `{"sa_lo":0,"sa_hi":3,"bogus":[true]}`, http.StatusOK},
+		{"single case-variant keys", single, `{"SA_LO":0,"sA_hI":3,"DIMS":[0],"Lo":[0],"HI":[40]}`, http.StatusOK},
+		{"single over-limit body, first value ends early", single, one + pad, http.StatusRequestEntityTooLarge},
+	}
+	// Each 200 row must be answered exactly like its canonical request.
+	sameAs := map[string]any{
+		"batch trailing bytes":     batchOf(ready.ID, 1, okQuery),
+		"batch unknown fields":     batchOf(ready.ID, 1, okQuery),
+		"batch case-variant keys":  batchOf(ready.ID, 1, api.Query{SALo: 0, SAHi: 3, Agg: "sum"}),
+		"single trailing bytes":    okQuery,
+		"single unknown fields":    okQuery,
+		"single case-variant keys": api.Query{Dims: []int{0}, Lo: []float64{0}, Hi: []float64{40}, SALo: 0, SAHi: 3},
 	}
 	for _, tc := range cases {
 		var resp *http.Response
@@ -198,6 +229,15 @@ func TestErrorMatrix(t *testing.T) {
 		}
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: code %d, want %d (%s)", tc.name, resp.StatusCode, tc.code, data)
+		}
+		if tc.code == http.StatusOK {
+			if resp.StatusCode == http.StatusOK {
+				sresp, sdata := e.post(t, tc.path, sameAs[tc.name])
+				if got, want := answerOf(t, tc.path, data), answerOf(t, tc.path, sdata); sresp.StatusCode != http.StatusOK || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: answered %+v, canonical request answered %+v (%d)", tc.name, got, want, sresp.StatusCode)
+				}
+			}
+			continue
 		}
 		var env api.Envelope
 		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
@@ -248,4 +288,25 @@ func TestMetricsExposeEngineCounters(t *testing.T) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
 	}
+}
+
+// answerOf reduces a 200 query answer to its estimates — what decoding
+// the wrong query would change — dropping cache flags and request IDs.
+func answerOf(t *testing.T, path string, data []byte) any {
+	t.Helper()
+	if path == "/v1/query:batch" {
+		var r api.BatchQueryResponse
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		for i := range r.Results {
+			r.Results[i].Cached = false
+		}
+		return r.Results
+	}
+	var r api.QueryResponse
+	if err := json.Unmarshal(data, &r); err != nil {
+		t.Fatalf("%s: %v", data, err)
+	}
+	return api.QueryResult{Estimate: r.Estimate, Groups: r.Groups}
 }

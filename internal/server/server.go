@@ -51,6 +51,7 @@ import (
 
 	"repro/anon"
 	"repro/internal/census"
+	"repro/internal/edge"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/microdata"
@@ -475,8 +476,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Decode before resolving the release, matching the batch route:
 	// structural checks on the request precede checks on the target.
 	var req api.Query
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxQueryBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+	if !edge.DecodeBody(w, r, s.maxQueryBody, &req, api.ParseQuery) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -491,17 +491,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		executeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.QueryResponse{
+	edge.WriteEncoded(w, &api.QueryResponse{
 		ReleaseID: id, Estimate: res[0].Estimate, Cached: res[0].Cached,
 		Groups:    toGroups(res[0].Groups),
 		RequestID: w.Header().Get(obs.HeaderRequestID),
-	})
+	}, api.AppendQueryResponse)
 }
 
 func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBatchBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+	if !edge.DecodeBody(w, r, s.maxBatchBody, &req, api.ParseBatchQueryRequest) {
 		return
 	}
 	if req.ReleaseID == "" {
@@ -547,7 +546,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			out.CacheHits++
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteEncoded(w, &out, api.AppendBatchQueryResponse)
 }
 
 // anonCode maps an anon registry/params error to its wire code.
@@ -561,50 +560,10 @@ func anonCode(err error) string {
 	return api.CodeInvalidRequest
 }
 
-// decodeStatus maps a body-decoding failure to its status code: 413 when
-// the body tripped MaxBytesReader, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeCode is decodeStatus's error-code twin.
-func decodeCode(err error) string {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return api.CodeTooLarge
-	}
-	return api.CodeInvalidRequest
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// writeErr emits the structured error envelope every route shares. The
-// request ID the instrument middleware staged as a response header is
-// mirrored into details so error reports are grep-able against server
-// logs without the caller having captured the header. When the writer is
-// the instrument middleware's recorder, the error code is captured on it
-// so the retained trace carries the failure class.
-func writeErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
-	if rec, ok := w.(interface{ setErrorCode(string) }); ok {
-		rec.setErrorCode(code)
-	}
-	if id := w.Header().Get(obs.HeaderRequestID); id != "" {
-		if details == nil {
-			details = make(map[string]any, 1)
-		}
-		if _, ok := details["request_id"]; !ok {
-			details["request_id"] = id
-		}
-	}
-	writeJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
-}
+// The HTTP edge helpers every route shares with the gateway.
+var (
+	writeErr     = edge.WriteErr
+	writeJSON    = edge.WriteJSON
+	decodeStatus = edge.DecodeStatus
+	decodeCode   = edge.DecodeCode
+)

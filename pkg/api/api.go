@@ -16,6 +16,15 @@
 // message. 503 responses carry a Retry-After header; the client SDK
 // honors it with bounded retry.
 //
+// The query path's messages also have a reflection-free codec (wire.go):
+// AppendQuery, AppendBatchQueryRequest, AppendQueryResponse and
+// AppendBatchQueryResponse write exactly the bytes encoding/json writes
+// for them, and ParseQuery, ParseBatchQueryRequest, ParseQueryResponse
+// and ParseBatchQueryResponse decode the canonical subset of JSON,
+// reporting false for anything else so the caller can hand the same
+// bytes to encoding/json. The node, the cluster gateway and the client
+// SDK use it on every query hop; JSON stays the only wire format.
+//
 // The package has no dependencies beyond the standard library, so
 // non-Go-SDK consumers can vendor it as the wire contract.
 package api

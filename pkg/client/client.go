@@ -398,7 +398,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var body []byte
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if body, err = marshal(in); err != nil {
 			return fmt.Errorf("client: marshaling request: %w", err)
 		}
 	}
@@ -444,7 +444,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
+			if err := unmarshal(data, out); err != nil {
 				return nil, fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 			}
 		}
@@ -472,6 +472,36 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		apiErr.Message = strings.TrimSpace(string(data))
 	}
 	return apiErr, nil
+}
+
+// marshal encodes a request body; the query routes' go through the
+// query wire codec, whose bytes equal json.Marshal's.
+func marshal(in any) ([]byte, error) {
+	switch v := in.(type) {
+	case api.BatchQueryRequest:
+		// Most queries encode in under 128 bytes.
+		return api.AppendBatchQueryRequest(make([]byte, 0, 64+128*len(v.Queries)), &v)
+	case api.Query:
+		return api.AppendQuery(make([]byte, 0, 128), &v)
+	}
+	return json.Marshal(in)
+}
+
+// unmarshal decodes a 2xx response body: the query routes' through the
+// query wire codec when the body is canonical, everything else — and
+// every body outside the codec's subset — with json.Unmarshal.
+func unmarshal(data []byte, out any) error {
+	switch v := out.(type) {
+	case *api.BatchQueryResponse:
+		if api.ParseBatchQueryResponse(data, v) {
+			return nil
+		}
+	case *api.QueryResponse:
+		if api.ParseQueryResponse(data, v) {
+			return nil
+		}
+	}
+	return json.Unmarshal(data, out)
 }
 
 // sleep waits out one retry delay: the server's Retry-After when given,
